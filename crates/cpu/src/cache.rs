@@ -116,7 +116,56 @@ struct Line {
     last_use: u64,
 }
 
+impl Line {
+    const INVALID: Self = Self {
+        tag: 0,
+        valid: false,
+        dirty: false,
+        last_use: 0,
+    };
+}
+
+/// The configuration plus the shifts and masks derived from it.
+///
+/// [`CacheConfig::validate`] requires a power-of-two block size and set
+/// count, so the block number, set index and tag of an address are a shift
+/// and a mask away — no division on the access path.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    config: CacheConfig,
+    ways: usize,
+    block_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
+}
+
+impl Geometry {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.sets();
+        Self {
+            config,
+            ways: config.associativity,
+            block_shift: config.block_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+        }
+    }
+
+    /// `(set, tag)` of the block holding `addr`.
+    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.block_shift;
+        ((block & self.set_mask) as usize, block >> self.set_shift)
+    }
+
+    /// Block-aligned address of the block with `tag` in `set`.
+    fn block_addr(&self, set: usize, tag: u64) -> u64 {
+        ((tag << self.set_shift) | set as u64) << self.block_shift
+    }
+}
+
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// Lines are stored set after set in one flat vector.
 ///
 /// # Examples
 ///
@@ -130,8 +179,8 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     // simlint: allow(snapshot-coverage) config-derived and immutable; restore rebuilds it from the same config
-    config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    geometry: Geometry,
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
 }
@@ -146,21 +195,10 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         // simlint: allow(panic) documented constructor contract: config must validate
         config.validate().expect("invalid cache configuration");
-        let sets = config.sets() as usize;
+        let geometry = Geometry::new(config);
         Self {
-            config,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_use: 0
-                    };
-                    config.associativity
-                ];
-                sets
-            ],
+            geometry,
+            lines: vec![Line::INVALID; config.sets() as usize * geometry.ways],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -169,7 +207,7 @@ impl Cache {
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &CacheConfig {
-        &self.config
+        &self.geometry.config
     }
 
     /// Event counters.
@@ -178,18 +216,21 @@ impl Cache {
         &self.stats
     }
 
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.config.block_bytes;
-        let set = (block % self.config.sets()) as usize;
-        let tag = block / self.config.sets();
-        (set, tag)
+    fn set(&self, set: usize) -> &[Line] {
+        let ways = self.geometry.ways;
+        &self.lines[set * ways..(set + 1) * ways]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        let ways = self.geometry.ways;
+        &mut self.lines[set * ways..(set + 1) * ways]
     }
 
     /// Whether the block containing `addr` is resident (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.geometry.index_and_tag(addr);
+        self.set(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Performs a load (`is_write == false`) or store (`is_write == true`) to
@@ -197,12 +238,12 @@ impl Cache {
     /// evicted in the process.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.tick += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let sets_count = self.config.sets();
-        let block_bytes = self.config.block_bytes;
-        let lines = &mut self.sets[set];
+        let tick = self.tick;
+        let geometry = self.geometry;
+        let (set, tag) = geometry.index_and_tag(addr);
+        let lines = self.set_mut(set);
         if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
+            line.last_use = tick;
             line.dirty |= is_write;
             self.stats.hits += 1;
             return CacheAccess {
@@ -210,7 +251,6 @@ impl Cache {
                 writeback: None,
             };
         }
-        self.stats.misses += 1;
         // Choose a victim: an invalid way if possible, else the LRU way.
         let victim_idx = lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
             lines
@@ -221,19 +261,20 @@ impl Cache {
                 // simlint: allow(panic) CacheConfig::validate rejects zero associativity
                 .expect("associativity is non-zero")
         });
-        let victim = lines[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        let victim = std::mem::replace(
+            &mut lines[victim_idx],
+            Line {
+                tag,
+                valid: true,
+                dirty: is_write,
+                last_use: tick,
+            },
+        );
+        self.stats.misses += 1;
+        let writeback = (victim.valid && victim.dirty).then(|| {
             self.stats.writebacks += 1;
-            Some((victim.tag * sets_count + set as u64) * block_bytes)
-        } else {
-            None
-        };
-        lines[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_use: self.tick,
-        };
+            geometry.block_addr(set, victim.tag)
+        });
         CacheAccess {
             hit: false,
             writeback,
@@ -244,13 +285,11 @@ impl Cache {
     /// and the LRU clock (checkpoint support). Geometry is config-derived
     /// and not serialized.
     pub fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
-        for set in &self.sets {
-            for line in set {
-                w.u64(line.tag);
-                w.bool(line.valid);
-                w.bool(line.dirty);
-                w.u64(line.last_use);
-            }
+        for line in &self.lines {
+            w.u64(line.tag);
+            w.bool(line.valid);
+            w.bool(line.dirty);
+            w.u64(line.last_use);
         }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -269,13 +308,11 @@ impl Cache {
         &mut self,
         r: &mut cloudmc_snap::SnapReader<'_>,
     ) -> Result<(), cloudmc_snap::SnapError> {
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = r.u64()?;
-                line.valid = r.bool()?;
-                line.dirty = r.bool()?;
-                line.last_use = r.u64()?;
-            }
+        for line in &mut self.lines {
+            line.tag = r.u64()?;
+            line.valid = r.bool()?;
+            line.dirty = r.bool()?;
+            line.last_use = r.u64()?;
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
@@ -287,14 +324,122 @@ impl Cache {
     /// Invalidates the block containing `addr`, returning `true` if the block
     /// was present and dirty (i.e. a writeback is required).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        for line in &mut self.sets[set] {
+        let (set, tag) = self.geometry.index_and_tag(addr);
+        for line in self.set_mut(set) {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 return std::mem::take(&mut line.dirty);
             }
         }
         false
+    }
+}
+
+/// The original cache layout — one heap vector of lines per set, indexed by
+/// division — kept as the reference the flat [`Cache`] is checked against.
+#[cfg(test)]
+mod reference {
+    use super::{CacheAccess, CacheConfig, CacheStats, Line};
+
+    #[derive(Debug, Clone)]
+    pub(super) struct NestedCache {
+        config: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        pub(super) stats: CacheStats,
+        tick: u64,
+    }
+
+    impl NestedCache {
+        pub(super) fn new(config: CacheConfig) -> Self {
+            config.validate().expect("invalid cache configuration");
+            Self {
+                config,
+                sets: vec![vec![Line::INVALID; config.associativity]; config.sets() as usize],
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        fn index_and_tag(&self, addr: u64) -> (usize, u64) {
+            let block = addr / self.config.block_bytes;
+            let set = (block % self.config.sets()) as usize;
+            let tag = block / self.config.sets();
+            (set, tag)
+        }
+
+        pub(super) fn contains(&self, addr: u64) -> bool {
+            let (set, tag) = self.index_and_tag(addr);
+            self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        pub(super) fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
+            self.tick += 1;
+            let (set, tag) = self.index_and_tag(addr);
+            let sets_count = self.config.sets();
+            let block_bytes = self.config.block_bytes;
+            let lines = &mut self.sets[set];
+            if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.last_use = self.tick;
+                line.dirty |= is_write;
+                self.stats.hits += 1;
+                return CacheAccess {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.stats.misses += 1;
+            let victim_idx = lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
+                lines
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+                    .expect("associativity is non-zero")
+            });
+            let victim = lines[victim_idx];
+            let writeback = if victim.valid && victim.dirty {
+                self.stats.writebacks += 1;
+                Some((victim.tag * sets_count + set as u64) * block_bytes)
+            } else {
+                None
+            };
+            lines[victim_idx] = Line {
+                tag,
+                valid: true,
+                dirty: is_write,
+                last_use: self.tick,
+            };
+            CacheAccess {
+                hit: false,
+                writeback,
+            }
+        }
+
+        pub(super) fn save_state(&self, w: &mut cloudmc_snap::SnapWriter) {
+            for set in &self.sets {
+                for line in set {
+                    w.u64(line.tag);
+                    w.bool(line.valid);
+                    w.bool(line.dirty);
+                    w.u64(line.last_use);
+                }
+            }
+            w.u64(self.stats.hits);
+            w.u64(self.stats.misses);
+            w.u64(self.stats.writebacks);
+            w.u64(self.tick);
+        }
+
+        pub(super) fn invalidate(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.index_and_tag(addr);
+            for line in &mut self.sets[set] {
+                if line.valid && line.tag == tag {
+                    line.valid = false;
+                    return std::mem::take(&mut line.dirty);
+                }
+            }
+            false
+        }
     }
 }
 
@@ -412,5 +557,74 @@ mod tests {
         }
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(c.stats().accesses(), 16);
+    }
+
+    /// Deterministic splitmix64 stream, so the reference checks need no
+    /// random-number crate.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn snapshot_bytes(save: impl FnOnce(&mut cloudmc_snap::SnapWriter)) -> Vec<u8> {
+        let mut w = cloudmc_snap::SnapWriter::new(0);
+        save(&mut w);
+        w.finish()
+    }
+
+    /// Drives the flat cache and the nested reference through the same
+    /// seeded read/write stream over twice the capacity (so there are hits,
+    /// misses and dirty evictions) with an occasional invalidation, and
+    /// demands identical outcomes, counters and checkpoint bytes.
+    fn check_against_reference(config: CacheConfig, seed: u64) {
+        let mut flat = Cache::new(config);
+        let mut nested = reference::NestedCache::new(config);
+        let span_blocks = 2 * config.size_bytes / config.block_bytes;
+        let mut state = seed;
+        for i in 0..50_000 {
+            let r = splitmix(&mut state);
+            let addr = (r % span_blocks) * config.block_bytes + (r >> 58);
+            if r >> 60 == 0 {
+                assert_eq!(flat.invalidate(addr), nested.invalidate(addr), "step {i}");
+            } else {
+                let is_write = (r >> 32).is_multiple_of(4);
+                assert_eq!(
+                    flat.access(addr, is_write),
+                    nested.access(addr, is_write),
+                    "step {i}"
+                );
+            }
+            assert_eq!(flat.contains(addr), nested.contains(addr), "step {i}");
+            assert_eq!(*flat.stats(), nested.stats, "step {i}");
+        }
+        assert!(flat.stats().hits > 0 && flat.stats().misses > 0);
+        assert!(
+            flat.stats().writebacks > 0,
+            "the stream must evict dirty blocks"
+        );
+        assert_eq!(
+            snapshot_bytes(|w| flat.save_state(w)),
+            snapshot_bytes(|w| nested.save_state(w))
+        );
+    }
+
+    #[test]
+    fn flat_cache_matches_nested_reference() {
+        let three_way = CacheConfig {
+            size_bytes: 3 * 64 * 64,
+            associativity: 3,
+            block_bytes: 64,
+        };
+        assert_eq!(three_way.sets(), 64);
+        for (config, seed) in [
+            (CacheConfig::l1_baseline(), 1),
+            (CacheConfig::l2_bank_baseline(), 2),
+            (three_way, 3),
+        ] {
+            check_against_reference(config, seed);
+        }
     }
 }

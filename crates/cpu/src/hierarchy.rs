@@ -119,25 +119,35 @@ impl SharedL2 {
         &self.config
     }
 
+    /// `log2` of the block size and of the bank count, both powers of two
+    /// by [`L2Config::validate`].
+    fn shifts(&self) -> (u32, u32) {
+        (
+            self.config.bank.block_bytes.trailing_zeros(),
+            self.config.banks.trailing_zeros(),
+        )
+    }
+
     /// Which bank serves `addr` (block-address interleaving).
     #[must_use]
     pub fn bank_for(&self, addr: u64) -> usize {
-        ((addr / self.config.bank.block_bytes) % self.config.banks as u64) as usize
+        let (block_shift, _) = self.shifts();
+        ((addr >> block_shift) as usize) & (self.config.banks - 1)
     }
 
     /// Address as seen inside one bank: the bank-selection bits are removed so
     /// that every set of the bank is usable regardless of the interleaving.
     fn bank_local_addr(&self, addr: u64) -> u64 {
-        let block_bytes = self.config.bank.block_bytes;
-        let block = addr / block_bytes;
-        (block / self.config.banks as u64) * block_bytes + (addr % block_bytes)
+        let (block_shift, bank_shift) = self.shifts();
+        let offset = addr & ((1 << block_shift) - 1);
+        ((addr >> (block_shift + bank_shift)) << block_shift) | offset
     }
 
     /// Converts a bank-local block address back to the global address space.
     fn global_addr(&self, bank: usize, local_addr: u64) -> u64 {
-        let block_bytes = self.config.bank.block_bytes;
-        let local_block = local_addr / block_bytes;
-        (local_block * self.config.banks as u64 + bank as u64) * block_bytes
+        let (block_shift, bank_shift) = self.shifts();
+        let local_block = local_addr >> block_shift;
+        ((local_block << bank_shift) | bank as u64) << block_shift
     }
 
     /// Performs an access on behalf of a core refill (`is_write == false`) or
@@ -277,5 +287,33 @@ mod tests {
         let mut cfg = L2Config::baseline();
         cfg.banks = 3;
         assert!(cfg.validate().is_err());
+    }
+
+    /// The shift forms of the bank interleaving agree with the division
+    /// forms they replace, for every power-of-two bank count.
+    #[test]
+    fn shift_interleaving_matches_division() {
+        for banks in [1usize, 2, 4, 8] {
+            let l2 = SharedL2::new(L2Config {
+                banks,
+                ..L2Config::baseline()
+            });
+            let block_bytes = l2.config.bank.block_bytes;
+            let mut addr = 0x0123_4567_89ab_cdefu64;
+            for _ in 0..1000 {
+                addr = addr.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1) >> 8;
+                let block = addr / block_bytes;
+                let bank = (block % banks as u64) as usize;
+                assert_eq!(l2.bank_for(addr), bank);
+                let local = (block / banks as u64) * block_bytes + addr % block_bytes;
+                assert_eq!(l2.bank_local_addr(addr), local);
+                let local_block = local / block_bytes;
+                assert_eq!(
+                    l2.global_addr(bank, local - addr % block_bytes),
+                    (local_block * banks as u64 + bank as u64) * block_bytes
+                );
+                assert_eq!(l2.global_addr(bank, local), block * block_bytes);
+            }
+        }
     }
 }
