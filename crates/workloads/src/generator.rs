@@ -15,6 +15,27 @@ pub const BLOCK_BYTES: u64 = 64;
 /// DRAM row size assumed when generating row-burst base addresses.
 pub const ROW_BYTES: u64 = 8 * 1024;
 
+/// Instructions in one phase period: a hot phase, then a quiet stretch.
+const PHASE_PERIOD_INSTR: u64 = 24_000;
+/// Instructions at the start of each period that run in the hot phase.
+const HOT_PHASE_INSTR: u64 = 6_000;
+
+// The integer phase schedule must be exactly the one the intensity model's
+// floating-point constants describe.
+const _: () = assert!(
+    HOT_PHASE_INSTR as f64 == CoreStream::HOT_PHASE_MEAN_INSTR
+        && PHASE_PERIOD_INSTR as f64
+            == CoreStream::HOT_PHASE_MEAN_INSTR / CoreStream::HOT_PHASE_FRACTION
+);
+
+/// Whether a stream that has planned `instructions` is in its scheduled hot
+/// phase. Integer arithmetic gives the same answer as the floating-point
+/// `instructions as f64 % 24000.0 < 6000.0` for every count below 2^53, and
+/// needs no software `fmod`.
+fn in_hot_phase(instructions: u64) -> bool {
+    instructions % PHASE_PERIOD_INSTR < HOT_PHASE_INSTR
+}
+
 /// Physical-address layout used by the generators.
 ///
 /// The regions are disjoint so that per-core private data, shared data and
@@ -232,9 +253,7 @@ impl CoreStream {
     /// hit all cores at once. This is what creates the transient memory
     /// contention under which the scheduling algorithms differ.
     fn scheduled_phase(&self) -> bool {
-        let period = Self::HOT_PHASE_MEAN_INSTR / Self::HOT_PHASE_FRACTION;
-        let position = self.instructions_planned as f64 % period;
-        position < Self::HOT_PHASE_MEAN_INSTR
+        in_hot_phase(self.instructions_planned)
     }
 
     /// Mean instructions between off-chip data *events* (a burst counts as
@@ -849,5 +868,29 @@ mod tests {
         }
         assert!(loads > 50);
         assert_eq!(loads, overlappable);
+    }
+
+    /// The integer phase test agrees with the floating-point formula it
+    /// replaced, at the period's edges and far out in the run.
+    #[test]
+    fn integer_phase_test_matches_float_formula() {
+        let float_formula = |n: u64| {
+            let period = CoreStream::HOT_PHASE_MEAN_INSTR / CoreStream::HOT_PHASE_FRACTION;
+            n as f64 % period < CoreStream::HOT_PHASE_MEAN_INSTR
+        };
+        let mut points = vec![0, 5_999, 6_000, 23_999, 24_000];
+        let far = (1u64 << 40) / 24_000;
+        for k in [1, 2, 7, 1_000, far, far + 1] {
+            let edge = 24_000 * k;
+            points.extend([edge - 1, edge, edge + 1, edge + 5_999, edge + 6_000]);
+        }
+        for delta in 0..64 {
+            points.extend([(1u64 << 40) - delta, (1u64 << 40) + delta]);
+        }
+        for n in points {
+            assert_eq!(in_hot_phase(n), float_formula(n), "at {n} instructions");
+        }
+        assert!(in_hot_phase(0) && in_hot_phase(5_999) && !in_hot_phase(6_000));
+        assert!(!in_hot_phase(23_999) && in_hot_phase(24_000));
     }
 }
