@@ -79,10 +79,15 @@ impl PolicyView<'_> {
             ..BankDemand::default()
         };
         let mut open_key = [0u64; 64];
-        for (r, b, row) in self.open_banks() {
-            let flat = r * banks + b;
-            demand.open |= 1 << flat;
-            open_key[flat] = bank_row_key(r, b, row);
+        for r in 0..ranks {
+            let rank = self.channel.rank(r);
+            for b in 0..banks {
+                if let Some(row) = rank.bank(b).open_row() {
+                    let flat = r * banks + b;
+                    demand.open |= 1 << flat;
+                    open_key[flat] = bank_row_key(r, b, row);
+                }
+            }
         }
         for queue in [self.read_q, self.write_q] {
             for &key in queue.keys() {
