@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cloudmc_bench::{dense_config, idle_heavy_config, Scale};
-use cloudmc_cpu::{Cache, CacheConfig};
+use cloudmc_cpu::{Cache, CacheConfig, L2Config, SharedL2};
 use cloudmc_dram::{Command, DramChannel, DramConfig, Location};
 use cloudmc_memctrl::{
     key_bank, key_rank, AccessKind, AddressMapping, FrFcfs, McConfig, MemoryController,
@@ -292,6 +292,23 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(1);
             cache.access(black_box((i * 64) % (64 * 1024)), i.is_multiple_of(4))
+        });
+    });
+    // The baseline 4 MB shared L2 under random blocks of an 8 MB span: about
+    // half the lookups hit, and one in four is a write-back from an L1, so
+    // misses keep evicting dirty blocks.
+    c.bench_function("cache/shared_l2_access", |b| {
+        let mut l2 = SharedL2::new(L2Config::baseline());
+        let span_blocks = 2 * l2.config().capacity_bytes() / 64;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            l2.access(
+                black_box((x % span_blocks) * 64),
+                (x >> 40).is_multiple_of(4),
+            )
         });
     });
 }

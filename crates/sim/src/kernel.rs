@@ -53,8 +53,13 @@
 //! * the backend caches, per shard, the next DRAM tick at which the shard
 //!   can possibly act (`MemoryController::next_ready_dram_cycle`, derived
 //!   from bank/rank/bus timing state, pending queues, refresh schedules,
-//!   scheduler time boundaries and page-policy proposals), recomputed only
-//!   after a tick that did no work and invalidated by request submission.
+//!   scheduler time boundaries and page-policy proposals). After each
+//!   executed tick (`bound_after_tick` in the backend) only a *drained*
+//!   shard — one that did no work and has nothing queued or in flight —
+//!   takes that walk; a busy shard is simply polled again next tick, like
+//!   the naive loop, because its fences are a handful of DRAM cycles and
+//!   the full walk costs more than the no-op ticks it would skip. Request
+//!   submission invalidates the cached bound.
 //!
 //! `System::run_cycles` takes the minimum over these posted cycles, converts
 //! DRAM-domain deadlines to CPU cycles through
