@@ -224,13 +224,16 @@ impl InOrderCore {
         let is_ifetch = op.kind == OpKind::Ifetch;
         let is_store = op.kind == OpKind::Store;
         // Check for structural stall before touching cache state so that the
-        // operation can be retried unchanged once an MSHR frees up.
-        let would_hit = if is_ifetch {
-            self.l1i.contains(op.addr)
-        } else {
-            self.l1d.contains(op.addr)
+        // operation can be retried unchanged once an MSHR frees up. The tag
+        // probe runs only when the MSHRs are full.
+        let would_hit = || {
+            if is_ifetch {
+                self.l1i.contains(op.addr)
+            } else {
+                self.l1d.contains(op.addr)
+            }
         };
-        if !would_hit && self.mshr.is_full() && !self.mshr.contains(op.addr) {
+        if self.mshr.is_full() && !would_hit() && !self.mshr.contains(op.addr) {
             self.stall = Some(Stall::MshrFull(op));
             return;
         }
