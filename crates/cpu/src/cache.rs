@@ -133,7 +133,6 @@ impl Line {
 #[derive(Debug, Clone, Copy)]
 struct Geometry {
     config: CacheConfig,
-    ways: usize,
     block_shift: u32,
     set_shift: u32,
     set_mask: u64,
@@ -144,7 +143,6 @@ impl Geometry {
         let sets = config.sets();
         Self {
             config,
-            ways: config.associativity,
             block_shift: config.block_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets - 1,
@@ -195,10 +193,9 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         // simlint: allow(panic) documented constructor contract: config must validate
         config.validate().expect("invalid cache configuration");
-        let geometry = Geometry::new(config);
         Self {
-            geometry,
-            lines: vec![Line::INVALID; config.sets() as usize * geometry.ways],
+            geometry: Geometry::new(config),
+            lines: vec![Line::INVALID; config.sets() as usize * config.associativity],
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -217,12 +214,12 @@ impl Cache {
     }
 
     fn set(&self, set: usize) -> &[Line] {
-        let ways = self.geometry.ways;
+        let ways = self.geometry.config.associativity;
         &self.lines[set * ways..(set + 1) * ways]
     }
 
     fn set_mut(&mut self, set: usize) -> &mut [Line] {
-        let ways = self.geometry.ways;
+        let ways = self.geometry.config.associativity;
         &mut self.lines[set * ways..(set + 1) * ways]
     }
 
@@ -335,8 +332,8 @@ impl Cache {
     }
 }
 
-/// The original cache layout — one heap vector of lines per set, indexed by
-/// division — kept as the reference the flat [`Cache`] is checked against.
+/// A cache with one heap vector of lines per set, indexed by division: the
+/// reference the flat [`Cache`] is checked against.
 #[cfg(test)]
 mod reference {
     use super::{CacheAccess, CacheConfig, CacheStats, Line};

@@ -1,13 +1,12 @@
 //! Pins the simulated model to recorded values.
 //!
-//! Every expected number below was recorded from the code as it stood
-//! before the caches were flattened, the generator's phase test became an
-//! integer test and the page policies' bank-demand mask became a plain loop.
-//! Those layers are shared by the naive and the event kernel, so the
-//! naive-vs-event equivalence tests cannot notice a change in them; this
-//! file can. Each config runs a short window (seed 1, 10k warm-up + 50k
-//! measured CPU cycles) and must reproduce its counters, the shared-L2 and
-//! per-core L1 counters, and the exact bits of five derived floats.
+//! The caches, the workload generator and the page policies are shared by
+//! the naive and the event kernel, so the naive-vs-event equivalence tests
+//! cannot notice a change in them that alters a simulated result; this file
+//! can. Each config runs a short window (seed 1, 10k warm-up + 50k measured
+//! CPU cycles) and must reproduce its recorded counters, the shared-L2 and
+//! per-core L1 counters, and the exact bits of five derived floats. A change
+//! that is meant to alter the model re-records the values and says why.
 
 use cloudmc::cpu::CacheStats;
 use cloudmc::memctrl::{PagePolicyKind, QosPolicyKind};
