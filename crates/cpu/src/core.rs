@@ -224,8 +224,9 @@ impl InOrderCore {
         let is_ifetch = op.kind == OpKind::Ifetch;
         let is_store = op.kind == OpKind::Store;
         // Check for structural stall before touching cache state so that the
-        // operation can be retried unchanged once an MSHR frees up. The tag
-        // probe runs only when the MSHRs are full.
+        // operation can be retried unchanged once an MSHR frees up. The L1
+        // tag probe matters only when every MSHR is busy, so it runs only
+        // then.
         let would_hit = || {
             if is_ifetch {
                 self.l1i.contains(op.addr)

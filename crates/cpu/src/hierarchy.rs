@@ -290,7 +290,7 @@ mod tests {
     }
 
     /// The shift forms of the bank interleaving agree with the division
-    /// forms they replace, for every power-of-two bank count.
+    /// forms, for every power-of-two bank count.
     #[test]
     fn shift_interleaving_matches_division() {
         for banks in [1usize, 2, 4, 8] {
